@@ -9,13 +9,14 @@ dynamic partitioned state, and engine services (aggregators, superstep).
 
 from __future__ import annotations
 
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Any, Mapping, Optional, TYPE_CHECKING
 
+from repro.graph.derived import degree_segments
 from .interval import Interval, coalesce
 from .state import PartitionedState
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.graph.model import EdgePiece, TemporalEdge, TemporalVertex
+    from repro.graph.model import TemporalEdge, TemporalVertex
 
 
 class EdgeContext:
@@ -23,7 +24,7 @@ class EdgeContext:
 
     __slots__ = ("edge", "interval", "values")
 
-    def __init__(self, edge: "TemporalEdge", interval: Interval, values: dict[str, Any]):
+    def __init__(self, edge: "TemporalEdge", interval: Interval, values: Mapping[str, Any]):
         self.edge = edge
         self.interval = interval
         self.values = values
@@ -111,20 +112,11 @@ class VertexContext:
         Splits ``interval`` at every out-edge lifespan boundary and reports
         the number of live out-edges per segment — what PageRank needs to
         divide its rank share correctly as the topology evolves.  Segments
-        with zero live edges are included (degree 0).
+        with zero live edges are included (degree 0).  Answered by
+        bisection from the graph's per-vertex degree timeline.
         """
-        edges = self.out_edges()
-        bounds = {interval.start, interval.end}
-        for e in edges:
-            if e.lifespan.overlaps(interval):
-                bounds.add(max(e.lifespan.start, interval.start))
-                bounds.add(min(e.lifespan.end, interval.end))
-        cuts = sorted(bounds)
-        segments: list[tuple[Interval, int]] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
-            segments.append((Interval(lo, hi), degree))
-        return segments
+        graph = self._engine.graph
+        return degree_segments(graph.out_degree_timeline(self._vertex.vid), interval)
 
     # -- dynamic state ---------------------------------------------------------
 

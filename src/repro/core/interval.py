@@ -165,7 +165,7 @@ class Interval:
         end = min(self.end, other.end)
         if start >= end:
             return None
-        return Interval(start, end)
+        return Interval._unchecked(start, end)  # both operands were valid
 
     def hull(self, other: "Interval") -> "Interval":
         """Smallest interval containing both operands."""

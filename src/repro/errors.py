@@ -26,6 +26,7 @@ from __future__ import annotations
 __all__ = [
     "ERROR_CODES",
     "GraphFormatError",
+    "ProtocolError",
     "ClusterLifecycleError",
     "WorkerDiedError",
     "UnrecoverableRunError",
@@ -48,11 +49,24 @@ class GraphFormatError(ValueError):
     code = "graph_format"
 
 
+class ProtocolError(ValueError):
+    """A peer's bytes break the wire protocol's framing limits.
+
+    Raised by ``serve.wire.read_frame`` for a length prefix longer than
+    ``MAX_PREFIX_BYTES`` or declaring more than ``MAX_FRAME_BYTES``,
+    before anything is allocated for the body; the daemon ends such a
+    connection.
+    """
+
+    code = "protocol_error"
+
+
 #: Stable string code → where the exception class lives.  The serving
 #: daemon transports the subset of these raised during query handling;
 #: ``error_code`` reads the same attribute off any caught exception.
 ERROR_CODES = {
     "graph_format": ("repro.errors", "GraphFormatError"),
+    "protocol_error": ("repro.errors", "ProtocolError"),
     "cluster_lifecycle": ("repro.runtime.cluster", "ClusterLifecycleError"),
     "worker_died": ("repro.runtime.faults", "WorkerDiedError"),
     "unrecoverable_run": ("repro.runtime.faults", "UnrecoverableRunError"),

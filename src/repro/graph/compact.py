@@ -45,11 +45,12 @@ import os
 from array import array
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Iterator, Optional, Union
+from typing import Any, Iterator, Mapping, Optional, Union
 
 from repro.core.interval import FOREVER, Interval
 from repro.errors import GraphFormatError
 from repro.runtime.encoding import decode_payload, decode_varint, encode_payload
+from .derived import DerivedTables
 from .model import EdgePiece, TemporalEdge, TemporalGraph, TemporalVertex
 from .properties import PropertySet
 
@@ -278,8 +279,8 @@ class CompactEdge:
 
     ``pieces()`` reads the precomputed cut table instead of re-deriving
     property boundaries, but returns the same ``(interval, EdgePiece)``
-    pairs — same cuts, same ``values`` dicts in the same label order — as
-    :meth:`~repro.graph.model.TemporalEdge.pieces`.
+    pairs — same cuts, same ``values`` in the same label order (as shared
+    read-only maps) — as :meth:`~repro.graph.model.TemporalEdge.pieces`.
     """
 
     __slots__ = ("_graph", "_idx", "eid", "src", "dst", "lifespan")
@@ -316,59 +317,10 @@ class CompactEdge:
         return f"Edge({self.eid!r}: {self.src!r}->{self.dst!r}, {self.lifespan})"
 
 
-class _CompactPieceIndex:
-    """Scatter index over one out-edge's precomputed piece table.
-
-    Mirrors the engine's ``_EdgePieceIndex`` protocol (``edge``/``dst``/
-    ``lifespan`` attributes + ``pieces(window)`` returning clipped
-    ``(interval, EdgePiece)`` pairs) but is built straight from the
-    ``cut_off``/``cut_start`` arrays — no property-boundary re-derivation,
-    no per-call ``values_at`` dict rebuilds.  The window-slicing bisection
-    is kept line-compatible with the engine's so the two stores stay
-    bit-identical.
-    """
-
-    __slots__ = ("edge", "dst", "lifespan", "_starts", "_pieces")
-
-    def __init__(self, graph: "CompactGraph", eidx: int):
-        edge = graph._edge_view(eidx)
-        self.edge = edge
-        self.dst = edge.dst
-        self.lifespan = edge.lifespan
-        full = [
-            (iv, EdgePiece(edge, iv, values))
-            for iv, values in graph._edge_pieces(eidx)
-        ]
-        self._starts = [iv.start for iv, _ in full]
-        self._pieces = full
-
-    def pieces(self, window: Interval) -> list[tuple[Interval, Any]]:
-        clipped = self.lifespan.intersect(window)
-        if clipped is None:
-            return []
-        if clipped == self.lifespan and len(self._pieces) == 1:
-            return self._pieces
-        idx = bisect_right(self._starts, clipped.start) - 1
-        if idx < 0:
-            idx = 0
-        out = []
-        pieces = self._pieces
-        hi = clipped.end
-        while idx < len(pieces):
-            iv, piece = pieces[idx]
-            if iv.start >= hi:
-                break
-            common = iv.intersect(clipped)
-            if common is not None:
-                out.append((common, piece))
-            idx += 1
-        return out
-
-
 # -- the graph -----------------------------------------------------------------
 
 
-class CompactGraph:
+class CompactGraph(DerivedTables):
     """A frozen temporal graph over one contiguous columnar buffer.
 
     Construct with :meth:`from_temporal` (from a validated heap graph),
@@ -564,13 +516,14 @@ class CompactGraph:
             self._ep_label, self._ep_start, self._ep_end, self._ep_val,
         )
 
-    def _edge_pieces(self, i: int) -> list[tuple[Interval, dict]]:
+    def _edge_pieces(self, i: int) -> list[tuple[Interval, Mapping[str, Any]]]:
         """Full-lifespan ``(interval, values)`` pieces of edge ``i``.
 
         Cut points come from the precomputed table; each piece's values
-        dict is assembled in one pass over the edge's property entries,
-        in label-insertion order — exactly ``properties.values_at(lo)``
-        for the piece's start, without building a PropertySet.
+        are assembled in one pass over the edge's property entries, in
+        label-insertion order — exactly ``properties.values_at(lo)`` for
+        the piece's start, without building a PropertySet — and interned
+        as a read-only map (``GraphTables.intern``).
         """
         pieces = self._piece_cache.get(i)
         if pieces is None:
@@ -598,8 +551,9 @@ class CompactGraph:
                         if bounds[k] > s:
                             values[k][label] = value
                         k += 1
+            intern = self.derived_tables().intern
             pieces = [
-                (Interval(s, b), vals)
+                (Interval(s, b), intern(vals))
                 for s, b, vals in zip(starts, bounds, values)
             ]
             self._piece_cache[i] = pieces
@@ -653,13 +607,10 @@ class CompactGraph:
             raise ValueError("empty graph has no lifespan")
         return Interval(min(self._v_start), max(self._v_end))
 
-    def time_horizon(self, default: int = 1) -> int:
-        """Largest *bounded* end time across entities; snapshot count.
-
-        Array mirror of ``TemporalGraph.time_horizon`` — vertex and edge
-        lifespans plus *edge* property spans, exactly as the heap store
-        counts them.
-        """
+    def _scan_horizon(self) -> int:
+        """Array mirror of ``TemporalGraph._scan_horizon`` — vertex and
+        edge lifespans plus *edge* property spans, exactly as the heap
+        store counts them."""
         horizon = 0
         for end in self._v_end:
             if end < FOREVER and end > horizon:
@@ -680,7 +631,7 @@ class CompactGraph:
             for end in span_end.values():
                 if end < FOREVER and end > horizon:
                     horizon = end
-        return horizon if horizon > 0 else default
+        return horizon
 
     def validate(self) -> None:
         """Structural soundness over the arrays (mirrors the heap checks)."""
@@ -730,21 +681,16 @@ class CompactGraph:
 
     # -- fast paths for the engine and partitioners ------------------------
 
-    def edge_piece_indexes(self, vid: Any) -> list[_CompactPieceIndex]:
-        """Scatter piece indexes for one vertex's out-edges.
-
-        The engine's ``VertexProcessor`` prefers this over building
-        ``_EdgePieceIndex`` objects from ``out_edges()`` — the piece cuts
-        and values come straight from the compact arrays.
-        """
+    def _piece_table(self, vid: Any):
         i = self._vid_index.get(vid)
         if i is None:
-            return []
+            return ()
         off = self._out_off
-        return [
-            _CompactPieceIndex(self, self._out_idx[j])
+        out_idx = self._out_idx
+        return (
+            (self._edge_view(out_idx[j]), self._edge_pieces(out_idx[j]))
             for j in range(off[i], off[i + 1])
-        ]
+        )
 
     def edge_records(self) -> Iterator[tuple[Any, Any, int, int]]:
         """``(src_vid, dst_vid, start, end)`` per edge, no view objects.

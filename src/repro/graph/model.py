@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Iterable, Iterator, Optional
 
 from repro.core.interval import FOREVER, Interval
+from .derived import DerivedTables
 from .properties import PropertySet
 
 VertexId = Any
@@ -62,13 +63,22 @@ class TemporalEdge:
         clipped = self.lifespan.intersect(window)
         if clipped is None:
             return []
-        bounds = [b for b in self.properties.boundaries() if clipped.start < b < clipped.end]
+        return [
+            (iv, EdgePiece(self, iv, values))
+            for iv, values in self._value_pieces(clipped)
+        ]
+
+    def _value_pieces(self, clipped: Interval) -> list[tuple[Interval, dict[str, Any]]]:
+        """``(interval, values)`` pieces of ``clipped`` (within the lifespan)."""
+        props = self.properties
+        bounds = [b for b in props.boundaries() if clipped.start < b < clipped.end]
+        if not bounds:
+            return [(clipped, props.values_at(clipped.start))]
         cuts = [clipped.start, *bounds, clipped.end]
-        out: list[tuple[Interval, EdgePiece]] = []
-        for lo, hi in zip(cuts, cuts[1:]):
-            iv = Interval(lo, hi)
-            out.append((iv, EdgePiece(self, iv, self.properties.values_at(lo))))
-        return out
+        return [
+            (Interval._unchecked(lo, hi), props.values_at(lo))
+            for lo, hi in zip(cuts, cuts[1:])
+        ]
 
     def __repr__(self) -> str:
         return f"Edge({self.eid!r}: {self.src!r}->{self.dst!r}, {self.lifespan})"
@@ -91,12 +101,15 @@ class EdgePiece:
         return f"EdgePiece({self.edge.eid!r}, {self.interval}, {self.values})"
 
 
-class TemporalGraph:
+class TemporalGraph(DerivedTables):
     """An immutable-by-convention temporal property multi-graph.
 
     Construct through :class:`~repro.graph.builder.TemporalGraphBuilder`,
     which validates the soundness constraints; direct construction is for
     internal use (generators that produce valid graphs by design).
+    Scatter indexes, degree timelines and the time horizon are derived
+    lazily and kept on the graph (:mod:`repro.graph.derived`); mutation
+    drops them.
     """
 
     def __init__(self) -> None:
@@ -147,12 +160,7 @@ class TemporalGraph:
         end = max(v.lifespan.end for v in self._vertices.values())
         return Interval(start, end)
 
-    def time_horizon(self, default: int = 1) -> int:
-        """Largest *bounded* end time across entities; snapshot count.
-
-        Graphs whose entities all extend to :data:`FOREVER` report
-        ``default`` — they are effectively non-temporal.
-        """
+    def _scan_horizon(self) -> int:
         horizon = 0
         for v in self._vertices.values():
             if not v.lifespan.is_unbounded:
@@ -164,19 +172,34 @@ class TemporalGraph:
                 span = e.properties.timeline(label).span()
                 if span is not None and not span.is_unbounded:
                     horizon = max(horizon, span.end)
-        return horizon if horizon > 0 else default
+        return horizon
+
+    def _piece_table(self, vid: VertexId):
+        intern = self.derived_tables().intern
+        for e in self.out_edges(vid):
+            yield e, [
+                (iv, intern(values)) for iv, values in e._value_pieces(e.lifespan)
+            ]
 
     # -- mutation (builder / generator use only) ----------------------------
 
     def _add_vertex(self, vertex: TemporalVertex) -> None:
+        self._tables = None
         self._vertices[vertex.vid] = vertex
         self._out.setdefault(vertex.vid, [])
         self._in.setdefault(vertex.vid, [])
 
     def _add_edge(self, edge: TemporalEdge) -> None:
+        self._tables = None
         self._edges[edge.eid] = edge
         self._out.setdefault(edge.src, []).append(edge)
         self._in.setdefault(edge.dst, []).append(edge)
+
+    def __getstate__(self) -> dict:
+        # Derived tables are rebuilt on demand, never shipped.
+        state = self.__dict__.copy()
+        state.pop("_tables", None)
+        return state
 
     # -- derived views -------------------------------------------------------
 

@@ -83,8 +83,22 @@ class SimulatedCluster:
 
     # -- vertex placement ----------------------------------------------------
 
+    @property
+    def partitioner(self) -> Any:
+        return self._partitioner
+
+    @partitioner.setter
+    def partitioner(self, partitioner: Any) -> None:
+        # Placement is memoized per partitioner object: replacing it
+        # starts a fresh memo.
+        self._partitioner = partitioner
+        self._placement: dict[Any, int] = {}
+
     def worker_of(self, vid: Any) -> int:
-        return self.partitioner.worker_of(vid)
+        worker = self._placement.get(vid)
+        if worker is None:
+            worker = self._placement[vid] = self._partitioner.worker_of(vid)
+        return worker
 
     def worker_load(self, vids) -> list[int]:
         """Vertices per worker — used by balance assertions and Fig. 7."""
@@ -100,8 +114,25 @@ class SimulatedCluster:
         Sec. VII-A4 locality quantity; ``edge_load`` counts each cut edge
         on both endpoint workers (it costs both sides a barrier exchange);
         ``imbalance`` is max vertex load over the even-split ideal, 1.0
-        for a perfectly balanced (or empty) placement.
+        for a perfectly balanced (or empty) placement.  Memoized on the
+        graph per (partitioner fingerprint, worker count); partitioners
+        without a fingerprint are summarised afresh each call.
         """
+        fingerprint = getattr(self._partitioner, "fingerprint", None)
+        if not callable(fingerprint):
+            return self._partition_stats(graph)
+        memo = graph.derived_tables().partition_stats
+        key = (fingerprint(), self.num_workers)
+        stats = memo.get(key)
+        if stats is None:
+            stats = memo[key] = self._partition_stats(graph)
+        return {
+            **stats,
+            "vertex_load": list(stats["vertex_load"]),
+            "edge_load": list(stats["edge_load"]),
+        }
+
+    def _partition_stats(self, graph) -> dict[str, Any]:
         vertex_load = [0] * self.num_workers
         for vid in graph.vertex_ids():
             vertex_load[self.worker_of(vid)] += 1

@@ -114,7 +114,9 @@ class ServeDaemon:
                 try:
                     value = wire.read_frame(conn.recv)
                 except (ValueError, OSError):
-                    return  # torn or garbage frame: drop the connection
+                    # Oversized (ProtocolError is a ValueError), torn or
+                    # garbage frame: drop the connection.
+                    return
                 if value is wire.EOF:
                     return  # clean EOF
                 response = self._dispatch(value)

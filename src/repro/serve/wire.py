@@ -24,13 +24,17 @@ Response values::
     ("err", code, message)            # re-raised typed on the client side
 
 An unknown frame version is rejected eagerly, naming both versions, so a
-stale client fails loudly instead of mis-parsing.
+stale client fails loudly instead of mis-parsing.  A length prefix longer
+than :data:`MAX_PREFIX_BYTES` or declaring more than
+:data:`MAX_FRAME_BYTES` is refused with a typed
+:class:`~repro.errors.ProtocolError` before any body byte is read.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Optional, Tuple
 
+from repro.errors import ProtocolError
 from repro.runtime.encoding import (
     decode_payload,
     decode_varint,
@@ -40,6 +44,8 @@ from repro.runtime.encoding import (
 
 __all__ = [
     "EOF",
+    "MAX_FRAME_BYTES",
+    "MAX_PREFIX_BYTES",
     "SERVE_WIRE_FORMAT",
     "decode_frame",
     "decode_frame_body",
@@ -54,6 +60,16 @@ __all__ = [
 #: Current serve-frame format version.  Bumped on incompatible layout
 #: changes; both sides reject a mismatched version by name.
 SERVE_WIRE_FORMAT = 1
+
+#: Largest frame body :func:`read_frame` accepts (64 MiB).
+MAX_FRAME_BYTES = 64 << 20
+
+#: Longest varint length prefix :func:`read_frame` accepts (a 64-bit length).
+MAX_PREFIX_BYTES = 10
+
+#: Most bytes requested from the stream in one ``recv`` call, so a frame's
+#: buffer grows with the bytes that actually arrive.
+_RECV_CHUNK = 1 << 20
 
 #: Clean end-of-stream marker returned by :func:`read_frame`.  A distinct
 #: sentinel (not ``None``) because ``None`` is a perfectly valid frame
@@ -109,27 +125,37 @@ def read_frame(recv: Callable[[int], bytes]) -> Any:
     """Read one frame from a byte stream (``recv(n)`` → up to ``n`` bytes).
 
     Returns :data:`EOF` on a clean end-of-stream at a frame boundary;
-    raises on EOF mid-frame (a torn write) and on any decode failure.
+    raises on EOF mid-frame (a torn write) and on any decode failure, and
+    :class:`~repro.errors.ProtocolError` on an oversized length prefix.
     """
     # varint length prefix, one byte at a time (it is 1-2 bytes in practice)
     length = 0
     shift = 0
-    first = True
+    nbytes = 0
     while True:
         chunk = recv(1)
         if not chunk:
-            if first:
+            if not nbytes:
                 return EOF
             raise ValueError("connection closed mid-frame (in length prefix)")
-        first = False
+        nbytes += 1
         byte = chunk[0]
         length |= (byte & 0x7F) << shift
+        if length > MAX_FRAME_BYTES:
+            raise ProtocolError(
+                f"serve frame length prefix declares more than the "
+                f"{MAX_FRAME_BYTES}-byte frame limit"
+            )
         if not byte & 0x80:
             break
+        if nbytes == MAX_PREFIX_BYTES:
+            raise ProtocolError(
+                f"serve frame length prefix runs past {MAX_PREFIX_BYTES} bytes"
+            )
         shift += 7
     body = bytearray()
     while len(body) < length:
-        chunk = recv(length - len(body))
+        chunk = recv(min(length - len(body), _RECV_CHUNK))
         if not chunk:
             raise ValueError(
                 f"connection closed mid-frame ({len(body)}/{length} body "

@@ -10,6 +10,9 @@ These are the straightforward implementations the optimised kernels in
   intersect loop the engine's scatter phase used.
 * ``reference_set_sequence`` — repeated ``PartitionedState.set`` calls,
   the semantics ``set_many`` must reproduce.
+* ``reference_out_degree_segments`` — ``VertexContext.out_degree_segments``
+  before the per-graph degree timeline: rescan every out-edge per segment,
+  O(deg²) per call.
 
 They are deliberately simple and obviously correct; Hypothesis tests in
 ``test_kernel_oracles.py`` assert the production kernels agree with them
@@ -187,3 +190,21 @@ def reference_set_sequence(
     """Apply updates one `.set()` at a time — the semantics of `set_many`."""
     for iv, value in items:
         state.set(iv, value)
+
+
+def reference_out_degree_segments(
+    edges: Sequence[Any], interval: Interval
+) -> list[tuple[Interval, int]]:
+    """Split ``interval`` at every overlapping out-edge boundary and count
+    the edges live at each segment's start."""
+    bounds = {interval.start, interval.end}
+    for e in edges:
+        if e.lifespan.overlaps(interval):
+            bounds.add(max(e.lifespan.start, interval.start))
+            bounds.add(min(e.lifespan.end, interval.end))
+    cuts = sorted(bounds)
+    segments: list[tuple[Interval, int]] = []
+    for lo, hi in zip(cuts, cuts[1:]):
+        degree = sum(1 for e in edges if e.lifespan.contains_point(lo))
+        segments.append((Interval(lo, hi), degree))
+    return segments

@@ -140,6 +140,31 @@ class TestMalformedInput:
         with QueryClient.connect(daemon.socket_path) as client:
             assert client.ping()  # daemon survived
 
+    @pytest.mark.parametrize("header", [
+        encode_varint(8 << 30) + b"\x01",   # 6 bytes declaring 8 GiB
+        b"\x80" * 9 + b"\x01",             # 10-byte prefix (2**63)
+    ], ids=["8GiB", "10-byte-prefix"])
+    def test_oversized_length_prefix_ends_connection_cleanly(
+        self, daemon, header, monkeypatch
+    ):
+        crashes = []
+        monkeypatch.setattr(threading, "excepthook", crashes.append)
+        raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            raw.settimeout(10)
+            raw.connect(daemon.socket_path)
+            raw.sendall(header)
+            try:
+                reply = raw.recv(1)
+            except ConnectionResetError:  # hung up with bytes unread
+                reply = b""
+            assert reply == b""  # the daemon hung up
+        finally:
+            raw.close()
+        with QueryClient.connect(daemon.socket_path) as client:
+            assert client.ping()  # daemon survived
+        assert crashes == []  # no connection thread died with a traceback
+
     def test_non_tuple_request_is_a_typed_error(self, daemon):
         raw = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:

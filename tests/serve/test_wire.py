@@ -13,9 +13,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.interval import FOREVER
+from repro.errors import ProtocolError
 from repro.runtime.encoding import encode_payload, encode_varint
 from repro.serve.wire import (
     EOF,
+    MAX_FRAME_BYTES,
     SERVE_WIRE_FORMAT,
     decode_frame,
     decode_frame_body,
@@ -133,6 +135,52 @@ class TestMalformedFrames:
         stream = io.BytesIO(encode_frame(None))
         assert read_frame(stream.read) is None
         assert read_frame(stream.read) is EOF
+
+
+class _RecordingStream:
+    """``recv`` over a byte string, recording every requested size."""
+
+    def __init__(self, data: bytes):
+        self._stream = io.BytesIO(data)
+        self.requested = []
+
+    def recv(self, n: int) -> bytes:
+        self.requested.append(n)
+        return self._stream.read(n)
+
+
+class TestLengthPrefixBounds:
+    def test_eight_gib_header_is_a_protocol_error(self):
+        # Formerly MemoryError: the body read asked recv for 8 GiB at once.
+        header = encode_varint(8 << 30) + bytes((SERVE_WIRE_FORMAT,))
+        assert len(header) == 6
+        stream = _RecordingStream(header)
+        with pytest.raises(ProtocolError, match="frame limit") as info:
+            read_frame(stream.recv)
+        assert info.value.code == "protocol_error"
+        assert stream.requested == [1] * 5  # the prefix only, no body read
+
+    def test_ten_byte_prefix_is_a_protocol_error(self):
+        # Formerly OverflowError: a 2**63 length overflowed recv's size.
+        stream = _RecordingStream(b"\x80" * 9 + b"\x01" + b"\x00" * 4)
+        with pytest.raises(ProtocolError):
+            read_frame(stream.recv)
+        assert stream.requested == [1] * 10
+
+    def test_prefix_past_ten_bytes_is_a_protocol_error(self):
+        stream = _RecordingStream(b"\x80" * 10 + b"\x00")
+        with pytest.raises(ProtocolError, match="10 bytes"):
+            read_frame(stream.recv)
+        assert stream.requested == [1] * 10
+
+    def test_largest_allowed_length_is_read_in_bounded_chunks(self):
+        stream = _RecordingStream(encode_varint(MAX_FRAME_BYTES))
+        with pytest.raises(ValueError, match="mid-frame"):
+            read_frame(stream.recv)
+        assert max(stream.requested) <= 1 << 20
+
+    def test_protocol_error_is_a_value_error(self):
+        assert issubclass(ProtocolError, ValueError)
 
 
 class TestRequestHelpers:

@@ -12,6 +12,7 @@ from repro import errors
 
 EXPECTED_CODES = {
     "graph_format": "GraphFormatError",
+    "protocol_error": "ProtocolError",
     "cluster_lifecycle": "ClusterLifecycleError",
     "worker_died": "WorkerDiedError",
     "unrecoverable_run": "UnrecoverableRunError",
